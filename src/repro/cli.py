@@ -1425,6 +1425,13 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
             f"p95 {quant['p95'] * 1000:.1f}ms  "
             f"p99 {quant['p99'] * 1000:.1f}ms"
         )
+        wait = report.queue_wait_quantiles
+        service = report.service_quantiles
+        print(
+            f"  queue wait p50 {wait['p50'] * 1000:.1f}ms  "
+            f"service p50 {service['p50'] * 1000:.1f}ms  "
+            f"p95 {service['p95'] * 1000:.1f}ms"
+        )
         print(f"  outcomes {report.outcomes}")
         print(
             f"  dedup {report.dedup}  injected_faults "

@@ -15,6 +15,7 @@ Two formats:
 from __future__ import annotations
 
 import json
+import os
 import platform
 from typing import Any, Dict, List, Sequence, Union
 
@@ -28,19 +29,21 @@ from repro.obs.recorder import NullRecorder, Recorder, Span
 SNAPSHOT_VERSION = 3
 
 
-def run_metadata() -> Dict[str, str]:
+def run_metadata() -> Dict[str, Any]:
     """The environment block stamped into snapshots and bench artifacts.
 
-    Deliberately coarse — interpreter and platform identity, no
-    timestamps or hostnames — so artifacts stay diffable across runs on
-    the same machine while cross-machine comparisons are visibly
-    cross-machine.
+    Deliberately coarse — interpreter and platform identity plus the
+    core count, no timestamps or hostnames — so artifacts stay diffable
+    across runs on the same machine while cross-machine comparisons are
+    visibly cross-machine.  The core count is what a timing or a
+    pool-vs-serial figure must be read against.
     """
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "system": platform.system(),
         "machine": platform.machine(),
+        "cpu_count": os.cpu_count() or 1,
     }
 
 

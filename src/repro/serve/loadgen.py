@@ -32,7 +32,7 @@ import json
 import random
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.disambiguator import DisambiguationMode
@@ -282,6 +282,9 @@ class LoadgenReport:
     outcomes: Dict[str, int]
     latency_quantiles: Dict[str, float]
     queue_wait_quantiles: Dict[str, float]
+    #: Per reply, ``latency_s - queue_wait_s``: the time a worker spent
+    #: on the request once it left the queue.
+    service_quantiles: Dict[str, float]
     fingerprint: str
     rejected_submissions: int
     dedup: Dict[str, int]
@@ -311,6 +314,24 @@ def _quantiles(histogram: Histogram) -> Dict[str, float]:
         "p95": histogram.quantile(0.95) or 0.0,
         "p99": histogram.quantile(0.99) or 0.0,
         "max": float(histogram.max),
+    }
+
+
+def timing_quantiles(
+    responses: Sequence[ServeResponse],
+) -> Dict[str, Dict[str, float]]:
+    """Latency, queue-wait and service-time quantiles over ``responses``."""
+    latency = Histogram()
+    queue_wait = Histogram()
+    service = Histogram()
+    for response in responses:
+        latency.observe(response.latency_s)
+        queue_wait.observe(response.queue_wait_s)
+        service.observe(response.latency_s - response.queue_wait_s)
+    return {
+        "latency": _quantiles(latency),
+        "queue_wait": _quantiles(queue_wait),
+        "service": _quantiles(service),
     }
 
 
@@ -478,12 +499,9 @@ def run_loadgen(
     resolved = [r for r in responses if r is not None]
     unresolved = len(responses) - len(resolved)
     outcomes: Dict[str, int] = {}
-    latency = Histogram()
-    queue_wait = Histogram()
     for response in resolved:
         outcomes[response.outcome] = outcomes.get(response.outcome, 0) + 1
-        latency.observe(response.latency_s)
-        queue_wait.observe(response.queue_wait_s)
+    timings = timing_quantiles(resolved)
     return LoadgenReport(
         sessions=sessions,
         requests=len(tickets),
@@ -493,8 +511,9 @@ def run_loadgen(
         wall_s=wall,
         throughput_rps=len(resolved) / wall if wall > 0 else 0.0,
         outcomes=dict(sorted(outcomes.items())),
-        latency_quantiles=_quantiles(latency),
-        queue_wait_quantiles=_quantiles(queue_wait),
+        latency_quantiles=timings["latency"],
+        queue_wait_quantiles=timings["queue_wait"],
+        service_quantiles=timings["service"],
         fingerprint=_fingerprint([r.outcome_key() for r in resolved]),
         rejected_submissions=rejected_submissions,
         dedup=shared.stats(),
@@ -755,4 +774,5 @@ __all__ = [
     "check_telemetry_overhead",
     "generate_workload",
     "run_loadgen",
+    "timing_quantiles",
 ]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.prefixspace import PrefixAtom, PrefixSpace
+from repro.analysis.prefixspace import PrefixAtom, PrefixSpace, _absorb
 from repro.netaddr import Ipv4Address, Ipv4Prefix
 
 
@@ -143,3 +143,116 @@ class TestPrefixSpace:
         for network in TEST_NETWORKS:
             expected = a.contains(network) and not b.contains(network)
             assert space.contains(network) == expected
+
+
+def space_covers(outer, inner):
+    """Brute-force containment over the small test universe."""
+    return all(outer.contains(n) for n in TEST_NETWORKS if inner.contains(n))
+
+
+class TestCanonicalContainment:
+    """``is_subset_of`` answers from the per-length encoding."""
+
+    def test_adjacent_atoms_cover_their_parent(self):
+        # Neither atom subsumes the parent; only their union does.
+        halves = PrefixSpace((atom("0.0.0.0/2", 2, 2), atom("64.0.0.0/2", 2, 2)))
+        parent = PrefixSpace.of_atom(atom("0.0.0.0/1", 2, 2))
+        assert parent.is_subset_of(halves)
+        assert halves.is_subset_of(parent)
+        assert not PrefixSpace.of_atom(atom("0.0.0.0/1", 1, 2)).is_subset_of(halves)
+        # One half covers the start of the parent's range, not its end.
+        assert not parent.is_subset_of(PrefixSpace.of_atom(atom("0.0.0.0/2", 2, 2)))
+
+    def test_empty_and_universe(self):
+        some = PrefixSpace.of_atom(atom("10.0.0.0/8", 8, 24))
+        assert PrefixSpace.empty().is_subset_of(some)
+        assert not some.is_subset_of(PrefixSpace.empty())
+        assert some.is_subset_of(PrefixSpace.universe())
+        assert not PrefixSpace.universe().is_subset_of(some)
+        assert PrefixSpace.universe().is_subset_of(
+            some.union(some.complement())
+        )
+
+    @given(
+        st.lists(atoms(), max_size=4),
+        st.lists(atoms(), max_size=4),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_subset_matches_enumeration(self, left, right, superset):
+        a = PrefixSpace(tuple(left))
+        # Half the draws make ``b`` a superset of ``a`` so that both
+        # answers are exercised.
+        b = PrefixSpace(tuple(right) + (tuple(left) if superset else ()))
+        for x, y in ((a, b), (b, a)):
+            expected = space_covers(y, x)
+            assert x.is_subset_of(y) == expected, (x, y)
+            assert x.subtract(y).is_empty() == expected, (x, y)
+
+
+def reference_absorb(atoms):
+    """The original quadratic ``_absorb``: the differential reference."""
+
+    def subsumes(outer, inner):
+        return (
+            outer.covering.contains_prefix(inner.covering)
+            and outer.lo <= inner.lo
+            and inner.hi <= outer.hi
+        )
+
+    kept = []
+    for a in atoms:
+        if any(subsumes(other, a) for other in kept):
+            continue
+        kept = [other for other in kept if not subsumes(a, other)]
+        kept.append(a)
+    return tuple(kept)
+
+
+@st.composite
+def atom_lists(draw):
+    """Atom lists rich in duplicates and nested coverings, in any order."""
+    out = list(draw(st.lists(atoms(), min_size=1, max_size=5)))
+    for _ in range(draw(st.integers(0, 6))):
+        base = out[draw(st.integers(0, len(out) - 1))]
+        kind = draw(st.sampled_from(["duplicate", "inner", "outer"]))
+        if kind == "duplicate":
+            made = PrefixAtom(base.covering, base.lo, base.hi)
+        elif kind == "inner" and base.covering.length < 8:
+            covering = base.covering.child(draw(st.integers(0, 1)))
+            lo = draw(st.integers(max(base.lo, covering.length), 8))
+            made = PrefixAtom(covering, lo, draw(st.integers(lo, 8)))
+        else:
+            # A covering atom, inserted at or after the atom it subsumes.
+            length = draw(st.integers(0, base.covering.length))
+            made = PrefixAtom(
+                base.covering.truncate(length),
+                draw(st.integers(length, base.lo)),
+                draw(st.integers(base.hi, 32)),
+            )
+        out.insert(draw(st.integers(0, len(out))), made)
+    return out
+
+
+class TestAbsorb:
+    @given(atom_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_quadratic_reference(self, atom_list):
+        got = _absorb(atom_list)
+        want = reference_absorb(atom_list)
+        assert got == want
+        # The first copy of a duplicate is the one kept.
+        assert all(g is w for g, w in zip(got, want))
+
+    def test_later_atom_subsumes_earlier(self):
+        atom_list = [
+            atom("192.168.0.0/16", 24, 24),
+            atom("10.1.0.0/16", 16, 24),
+            atom("10.0.0.0/8", 8, 32),
+            atom("10.1.0.0/16", 16, 24),
+        ]
+        got = _absorb(atom_list)
+        assert got == reference_absorb(atom_list)
+        assert [str(a) for a in got] == ["192.168.0.0/16:24-24", "10.0.0.0/8:8-32"]
+        assert str(PrefixSpace(tuple(atom_list)).witness()) == "192.168.0.0/24"
+        assert str(PrefixSpace(tuple(atom_list[1:])).witness()) == "10.0.0.0/8"

@@ -29,6 +29,14 @@ class TestJsonRoundTrip:
     def test_snapshot_shape(self, populated):
         snap = obs.snapshot(populated)
         assert snap["version"] == obs.SNAPSHOT_VERSION
+        assert set(snap["meta"]) == {
+            "python",
+            "implementation",
+            "system",
+            "machine",
+            "cpu_count",
+        }
+        assert snap["meta"]["cpu_count"] >= 1
         assert snap["counters"] == {"llm.calls": 3, "verify.checks": 1}
         assert snap["histograms"]["overlaps"] == {
             "count": 2,

@@ -4,7 +4,8 @@ import io
 import json
 
 from repro.cli import main
-from repro.serve import run_loadgen
+from repro.serve import ServeResponse, run_loadgen
+from repro.serve.loadgen import timing_quantiles
 
 INTENT = (
     "Write a route-map stanza that permits routes with local-preference 300."
@@ -21,6 +22,26 @@ class TestRunLoadgen:
         assert report.latency_quantiles["p50"] > 0
         assert report.counters["serve.requests"] == 12
         assert report.dedup["requests"] == report.counters["llm.dedup.requests"]
+
+    def test_service_quantiles_exclude_queue_wait(self):
+        replies = [
+            ServeResponse("s", seq, "applied", latency_s=latency, queue_wait_s=wait)
+            for seq, (latency, wait) in enumerate(
+                [(1.0, 0.9), (2.0, 0.5), (0.5, 0.0)]
+            )
+        ]
+        timings = timing_quantiles(replies)
+        assert timings["service"]["p50"] == 0.5
+        assert timings["service"]["max"] == 1.5
+        assert timings["queue_wait"]["p50"] == 0.5
+        assert timings["latency"]["max"] == 2.0
+
+    def test_report_carries_service_quantiles(self):
+        report = run_loadgen(sessions=2, requests_per_session=1, workers=1, seed=1)
+        service = report.service_quantiles
+        assert 0 < service["p50"] <= report.latency_quantiles["max"]
+        assert service["max"] <= report.latency_quantiles["max"]
+        assert "service_quantiles" in report.to_dict()
 
     def test_chaos_campaign_terminates_cleanly(self):
         report = run_loadgen(
