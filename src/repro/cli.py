@@ -20,9 +20,9 @@ Subcommands::
                        --metrics-port, a live /metrics endpoint and a
                        wide-event request log
     clarify loadgen    drive the serving layer with a deterministic
-                       seeded campus/cloud intent mix; optionally check
-                       serial-vs-pooled outcome identity, SLO burn
-                       rates, and telemetry overhead
+                       seeded campus/cloud intent mix; optionally run
+                       differential legs (serial, sharded, killed,
+                       cached, telemetry-off) against the pooled run
     clarify tail       follow a wide-event request log and print rolling
                        p50/p95 latency and error rate
 
@@ -1204,8 +1204,8 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     """Run a seeded load campaign against the serving layer.
 
     Exit status: 0 clean; 1 when any ticket never resolved, any request
-    ended in ``internal-error``, or the ``--check-serial-identity``
-    differential found a serial/pooled divergence.
+    ended in ``internal-error``, an SLO objective is alerting, a leg
+    named by ``--legs`` failed, or the campaign cannot run those legs.
     """
     import json as _json
     import os
@@ -1213,12 +1213,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 
     from repro import obs
     from repro.obs import slo as slo_mod
-    from repro.serve import (
-        check_cache_effectiveness,
-        check_serial_identity,
-        check_telemetry_overhead,
-        run_loadgen,
-    )
+    from repro.serve import run_legs
 
     slo_config = None
     if args.slo:
@@ -1228,141 +1223,33 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
             print(f"error: cannot load SLO config: {exc}", file=sys.stderr)
             return 1
 
-    kwargs = dict(
-        fault_rate=args.fault_rate,
-        deadline_s=args.deadline,
-        queue_limit=args.queue_limit,
-        high_water=args.high_water,
-        max_attempts=args.max_attempts,
-        backend=args.backend,
-        batch_window_s=args.batch_window,
-        netwide=args.netwide,
-        telemetry=not args.no_telemetry,
-        event_log=args.event_log,
-        slo=slo_config,
-    )
-    failures: List[str] = []
-    serial = None
-    effectiveness = None
-    overhead = None
-    shard_identity = None
-    if args.check_shard_identity:
-        from repro.serve.shard import check_shard_identity
-
-        if args.fault_rate > 0.0 or args.deadline is not None or args.netwide:
-            print(
-                "error: --check-shard-identity requires a fault-free, "
-                "deadline-free, gate-free campaign (shard processes run "
-                "the plain serving stack, so the in-process legs must "
-                "too)",
-                file=sys.stderr,
-            )
-            return 1
-        try:
-            shard_identity = check_shard_identity(
-                args.sessions,
-                args.requests_per_session,
-                workers=args.workers,
-                seed=args.seed,
-                shards=args.shards,
-                store_root=args.store_dir,
-                max_attempts=args.max_attempts,
-                backend=args.backend,
-                telemetry=False,
-            )
-        except AssertionError as exc:
-            print(f"SHARD IDENTITY FAILED: {exc}", file=sys.stderr)
-            return 1
-    if args.check_telemetry_overhead:
-        if args.fault_rate > 0.0 or args.deadline is not None:
-            print(
-                "error: --check-telemetry-overhead requires a fault-free, "
-                "deadline-free campaign (outcomes must be identical across "
-                "the telemetry-off and telemetry-on runs)",
-                file=sys.stderr,
-            )
-            return 1
-        overhead_kwargs = {
-            k: v
-            for k, v in kwargs.items()
-            if k
-            not in ("fault_rate", "deadline_s", "telemetry", "event_log", "slo")
-        }
-        try:
-            overhead = check_telemetry_overhead(
-                args.sessions,
-                args.requests_per_session,
-                workers=args.workers,
-                seed=args.seed,
-                repeats=args.overhead_repeats,
-                bound=args.overhead_bound,
-                cache_dir=args.cache_dir,
-                **overhead_kwargs,
-            )
-        except AssertionError as exc:
-            print(f"TELEMETRY OVERHEAD FAILED: {exc}", file=sys.stderr)
-            return 1
-        if not overhead.ok:
-            failures.append(
-                f"telemetry overhead {overhead.ratio:.3f}x exceeds "
-                f"bound {overhead.bound:g}x"
-            )
-    if args.check_cache_effectiveness:
-        if args.fault_rate > 0.0 or args.deadline is not None:
-            print(
-                "error: --check-cache-effectiveness requires a fault-free, "
-                "deadline-free campaign (chaos bypasses the cache and "
-                "deadlines are schedule-dependent)",
-                file=sys.stderr,
-            )
-            return 1
-        cache_dir = args.cache_dir or tempfile.mkdtemp(prefix="clarify-cache-")
-        try:
-            effectiveness = check_cache_effectiveness(
-                args.sessions,
-                args.requests_per_session,
-                workers=args.workers,
-                seed=args.seed,
-                cache_dir=cache_dir,
-                **kwargs,
-            )
-        except AssertionError as exc:
-            print(f"CACHE EFFECTIVENESS FAILED: {exc}", file=sys.stderr)
-            return 1
-    if args.check_serial_identity:
-        if args.fault_rate > 0.0 or args.deadline is not None:
-            print(
-                "error: --check-serial-identity requires a fault-free, "
-                "deadline-free campaign (fault placement and deadlines "
-                "are schedule-dependent)",
-                file=sys.stderr,
-            )
-            return 1
-        try:
-            serial, report = check_serial_identity(
-                args.sessions,
-                args.requests_per_session,
-                workers=args.workers,
-                seed=args.seed,
-                cache_dir=args.cache_dir,
-                **kwargs,
-            )
-        except AssertionError as exc:
-            print(f"IDENTITY FAILED: {exc}", file=sys.stderr)
-            return 1
-    elif effectiveness is not None:
-        report = effectiveness.warm
-    elif shard_identity is not None:
-        report = shard_identity.pooled
-    else:
-        report = run_loadgen(
-            args.sessions,
-            args.requests_per_session,
+    try:
+        legs = run_legs(
+            args.legs,
+            sessions=args.sessions,
+            requests_per_session=args.requests_per_session,
             workers=args.workers,
             seed=args.seed,
+            shards=args.shards,
+            root=args.store_dir,
+            fault_rate=args.fault_rate,
+            deadline_s=args.deadline,
+            queue_limit=args.queue_limit,
+            high_water=args.high_water,
+            max_attempts=args.max_attempts,
+            backend=args.backend,
             cache_dir=args.cache_dir,
-            **kwargs,
+            batch_window_s=args.batch_window,
+            netwide=args.netwide,
+            telemetry=not args.no_telemetry,
+            event_log=args.event_log,
+            slo=slo_config,
         )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    report = legs.reference
+    failures = legs.failures
 
     if report.unresolved:
         failures.append(f"{report.unresolved} request(s) never resolved")
@@ -1378,23 +1265,15 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
             "SLO burn-rate alert: " + ", ".join(slo_alerting)
         )
 
-    # schema_version 2 added the meta run-metadata block and the
-    # telemetry/slo/overhead sections; "version" kept for old tooling.
+    # schema_version 3 replaced the per-gate blocks with the legs block;
+    # "version" kept for old tooling.
     payload = {
-        "schema_version": 2,
-        "version": 2,
+        "schema_version": 3,
+        "version": 3,
         "meta": obs.run_metadata(),
         "loadgen": report.to_dict(),
+        "legs": legs.to_dict(),
     }
-    if serial is not None:
-        payload["serial"] = serial.to_dict()
-        payload["identity"] = serial.fingerprint == report.fingerprint
-    if shard_identity is not None:
-        payload["shard"] = shard_identity.to_dict()
-    if effectiveness is not None:
-        payload["cache_effectiveness"] = effectiveness.to_dict()
-    if overhead is not None:
-        payload["telemetry_overhead"] = overhead.to_dict()
     if args.output:
         directory = os.path.dirname(args.output) or "."
         os.makedirs(directory, exist_ok=True)
@@ -1440,25 +1319,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         )
         if report.netwide:
             print(f"  netwide {report.netwide}")
-        if serial is not None:
-            print(f"  serial identity OK ({report.fingerprint[:16]}…)")
-        if shard_identity is not None:
-            chaos = shard_identity.chaos
-            print(
-                f"  shard identity OK: serial = pooled = "
-                f"{chaos.shards}-shard = chaos "
-                f"({report.fingerprint[:16]}…); chaos leg restarted "
-                f"{chaos.restarts} shard(s), restored "
-                f"{chaos.restored_sessions} session(s)"
-            )
-        if effectiveness is not None:
-            eff = effectiveness.to_dict()
-            print(
-                "  cache effectiveness OK: upstream calls "
-                f"{eff['uncached_upstream_calls']} uncached → "
-                f"{eff['cold_upstream_calls']} cold → "
-                f"{eff['warm_upstream_calls']} warm"
-            )
         if report.telemetry.get("enabled"):
             coverage = report.telemetry.get("trace_coverage", {})
             print(
@@ -1473,13 +1333,15 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
                     else "ok"
                 )
                 print(f"  slo: {verdict}")
-        if overhead is not None:
-            print(
-                f"  telemetry overhead {'OK' if overhead.ok else 'FAILED'}: "
-                f"p50 {overhead.p50_off_s * 1000:.1f}ms off → "
-                f"{overhead.p50_on_s * 1000:.1f}ms on "
-                f"({overhead.ratio:.3f}x, bound {overhead.bound:g}x)"
-            )
+        if args.legs:
+            print("  legs (each fingerprint must equal pooled's):")
+            for name, result in legs.results.items():
+                measures = result.measures.items()
+                print(
+                    f"    {name:<13} {'FAILED' if result.failures else 'OK'}  "
+                    f"{result.report.fingerprint[:16]}…  "
+                    + "  ".join(f"{key} {value:g}" for key, value in measures)
+                )
     for failure in failures:
         print(f"LOADGEN FAILED: {failure}", file=sys.stderr)
     return 1 if failures else 0
@@ -2123,38 +1985,27 @@ def build_parser() -> argparse.ArgumentParser:
         "report the netwide.* conflict counters as a quality axis",
     )
     p_loadgen.add_argument(
-        "--check-serial-identity",
-        action="store_true",
-        help="also run the campaign with one worker and fail unless the "
-        "pooled run's per-session outcomes match byte for byte",
+        "--legs",
+        type=lambda text: [name for name in text.split(",") if name],
+        default=[],
+        metavar="LEG[,LEG...]",
+        help="also run the campaign these ways and fail unless every "
+        "outcome fingerprint equals the pooled run's and each leg's own "
+        "condition holds: serial, pooled, sharded, killed, cache-cold, "
+        "cache-warm, telemetry-off (see repro.serve.legs)",
     )
     p_loadgen.add_argument(
         "--shards",
         type=int,
         default=2,
         metavar="N",
-        help="shard processes for --check-shard-identity (default: 2)",
+        help="shard processes for the sharded and killed legs (default: 2)",
     )
     p_loadgen.add_argument(
         "--store-dir",
         metavar="DIR",
-        help="root directory for the sharded legs' durable session "
-        "stores (default: a fresh temp directory)",
-    )
-    p_loadgen.add_argument(
-        "--check-shard-identity",
-        action="store_true",
-        help="run the campaign serial, pooled, sharded across --shards "
-        "processes, and sharded with one shard SIGKILLed and restored "
-        "mid-campaign; fail unless all four outcome fingerprints are "
-        "byte-identical",
-    )
-    p_loadgen.add_argument(
-        "--check-cache-effectiveness",
-        action="store_true",
-        help="run the campaign uncached, cold-cache, and warm-cache and "
-        "fail unless outcomes are identical while upstream LLM calls "
-        "drop (uses --cache-dir or a fresh temp directory)",
+        help="fresh directory for the legs' shard session stores and "
+        "response cache (default: a temporary directory)",
     )
     p_loadgen.add_argument(
         "--no-telemetry",
@@ -2172,29 +2023,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="evaluate burn rates against the SLO config at PATH instead "
         "of the built-in default objectives",
-    )
-    p_loadgen.add_argument(
-        "--check-telemetry-overhead",
-        action="store_true",
-        help="also run interleaved telemetry-off/on campaigns and fail "
-        "when the telemetry-on p50 exceeds the off p50 by more than "
-        "--overhead-bound (outcomes must stay byte-identical)",
-    )
-    p_loadgen.add_argument(
-        "--overhead-bound",
-        type=float,
-        default=1.05,
-        metavar="RATIO",
-        help="maximum allowed telemetry-on/off p50 ratio "
-        "(default: %(default)s)",
-    )
-    p_loadgen.add_argument(
-        "--overhead-repeats",
-        type=int,
-        default=3,
-        metavar="N",
-        help="off/on campaign pairs to run for the overhead check; the "
-        "minimum p50 per mode is compared (default: %(default)s)",
     )
     p_loadgen.add_argument(
         "--output",

@@ -24,26 +24,23 @@ is that serving layer (architecture in ``docs/SERVING.md``):
   ring (:class:`~repro.serve.shard.HashRing`) placing sessions onto N
   shard serve processes behind a thin router with per-shard and global
   admission high-water marks, plus first-class crash recovery
-  (SIGKILL a shard, restart with ``--restore``, replay its journals).
+  (SIGKILL a shard, restart with ``--restore``, replay its journals);
+* :mod:`~repro.serve.legs` — the differential harness: one leg table
+  and one runner, :func:`~repro.serve.legs.run_legs`.
 
-The layer's core invariant: a serial run (one worker) and a pooled run
-of the same seeded workload produce **identical per-session outcomes** —
-concurrency changes latency, never results.  ``clarify loadgen
---check-serial-identity`` asserts this end to end, and ``clarify
-loadgen --check-shard-identity`` extends it across process boundaries
-and a mid-campaign shard kill; CI runs both on every push.
+The layer's core invariant: the same seeded workload produces
+**identical per-session outcomes** however it runs — serial, pooled,
+sharded, killed and restored, cached, or without telemetry.  ``clarify
+loadgen --legs serial,pooled,sharded,killed,cache-cold,cache-warm,telemetry-off``
+asserts this end to end; CI runs every leg on every push.
 """
 
+from repro.serve.legs import LEGS, Leg, LegResult, LegsReport, run_legs
 from repro.serve.loadgen import (
-    CacheEffectiveness,
     LLMStack,
     LoadgenReport,
     SessionSpec,
-    TelemetryOverhead,
     build_llm_stack,
-    check_cache_effectiveness,
-    check_serial_identity,
-    check_telemetry_overhead,
     generate_workload,
     run_loadgen,
 )
@@ -59,8 +56,6 @@ from repro.serve.shard import (
     HashRing,
     ShardCampaignReport,
     ShardedCluster,
-    ShardIdentity,
-    check_shard_identity,
     run_sharded_loadgen,
 )
 from repro.serve.store import (
@@ -75,12 +70,15 @@ from repro.serve.store import (
 
 __all__ = [
     "AdmissionError",
-    "CacheEffectiveness",
     "ClarifyService",
     "DurableSessionStore",
     "HashRing",
     "InMemorySessionStore",
+    "LEGS",
     "LLMStack",
+    "Leg",
+    "LegResult",
+    "LegsReport",
     "LoadgenReport",
     "ManagedSession",
     "RestoreError",
@@ -92,17 +90,12 @@ __all__ = [
     "SessionSnapshot",
     "SessionStore",
     "ShardCampaignReport",
-    "ShardIdentity",
     "ShardedCluster",
-    "TelemetryOverhead",
     "Ticket",
     "build_llm_stack",
-    "check_cache_effectiveness",
-    "check_serial_identity",
-    "check_shard_identity",
-    "check_telemetry_overhead",
     "generate_workload",
     "rebuild_session",
+    "run_legs",
     "run_loadgen",
     "run_sharded_loadgen",
 ]

@@ -14,7 +14,7 @@ Everything about the workload is a pure function of ``seed``, which is
 what makes the serial-vs-pooled differential check meaningful: run the
 same campaign with one worker and with N workers, fingerprint the
 schedule-independent outcome fields, and the fingerprints must match
-byte for byte (:func:`check_serial_identity`).
+byte for byte (the ``serial`` leg of :mod:`repro.serve.legs`).
 
 With ``fault_rate > 0`` the upstream LLM is wrapped in a
 :class:`~repro.llm.faulty.FaultyLLM` chaos layer.  Fault placement then
@@ -171,8 +171,9 @@ class _CountingClient:
     """Counts completions that truly reach the backend.
 
     The dedup/cache/batch layers each report their own savings; this
-    innermost wrapper is the ground truth the cache-effectiveness gate
-    compares — how many calls the real (metered, billed) backend served.
+    innermost wrapper is the ground truth the cache legs of
+    :mod:`repro.serve.legs` compare — how many calls the real (metered,
+    billed) backend served.
     """
 
     def __init__(self, inner: LLMClient) -> None:
@@ -395,7 +396,7 @@ def run_loadgen(
     Admission rejections are retried (after the advertised
     ``retry_after_s``) until accepted, so backpressure shapes *when*
     work runs, never *whether* it runs — a prerequisite for the
-    serial-vs-pooled identity check.
+    differential legs of :mod:`repro.serve.legs`.
 
     ``backend`` is a :func:`repro.llm.router.build_backend` spec,
     ``cache_dir`` enables the durable response cache, and
@@ -537,241 +538,15 @@ def run_loadgen(
     )
 
 
-def check_serial_identity(
-    sessions: int,
-    requests_per_session: int,
-    workers: int,
-    seed: int,
-    **kwargs: Any,
-) -> Tuple[LoadgenReport, LoadgenReport]:
-    """Run the campaign serially and pooled; raise if outcomes diverge.
-
-    Fault injection and deadlines are schedule-dependent by nature, so
-    the identity check always runs fault-free and deadline-free.
-    """
-    serial = run_loadgen(
-        sessions, requests_per_session, workers=1, seed=seed, **kwargs
-    )
-    pooled = run_loadgen(
-        sessions, requests_per_session, workers=workers, seed=seed, **kwargs
-    )
-    if serial.fingerprint != pooled.fingerprint:
-        raise AssertionError(
-            "serial and pooled runs diverged: "
-            f"{serial.fingerprint} != {pooled.fingerprint} "
-            f"(serial outcomes {serial.outcomes}, "
-            f"pooled outcomes {pooled.outcomes})"
-        )
-    return serial, pooled
-
-
-@dataclasses.dataclass
-class CacheEffectiveness:
-    """The cached-vs-uncached differential: same outcomes, fewer calls.
-
-    Three runs of the identical seeded campaign: ``uncached`` (no durable
-    cache), ``cold`` (fresh cache directory — repeats *within* the run
-    hit), and ``warm`` (same directory again — every prompt hits).  The
-    gate holds when all three fingerprints are byte-identical and the
-    upstream call count strictly drops at each stage.
-    """
-
-    uncached: LoadgenReport
-    cold: LoadgenReport
-    warm: LoadgenReport
-
-    @property
-    def identical(self) -> bool:
-        """True when every run produced byte-identical outcomes."""
-        return (
-            self.uncached.fingerprint
-            == self.cold.fingerprint
-            == self.warm.fingerprint
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """The before/after call counts BENCH_serve.json records."""
-        return {
-            "identical_outcomes": self.identical,
-            "requests": self.uncached.requests,
-            "uncached_upstream_calls": self.uncached.upstream_llm_calls,
-            "cold_upstream_calls": self.cold.upstream_llm_calls,
-            "warm_upstream_calls": self.warm.upstream_llm_calls,
-            "cold_cache": self.cold.cache,
-            "warm_cache": self.warm.cache,
-            "fingerprint": self.uncached.fingerprint,
-        }
-
-
-def check_cache_effectiveness(
-    sessions: int,
-    requests_per_session: int,
-    workers: int,
-    seed: int,
-    cache_dir: str,
-    **kwargs: Any,
-) -> CacheEffectiveness:
-    """Run the cached-vs-uncached differential gate; raise on violation.
-
-    Requires a fault-free, deadline-free campaign (chaos bypasses the
-    cache by design, and both chaos and deadlines make outcomes
-    schedule-dependent).  Asserts that (1) the uncached, cold-cache, and
-    warm-cache runs produce byte-identical per-session outcomes and
-    (2) the warm run reaches the backend strictly less than the cold
-    run, which reaches it no more than the uncached run.
-    """
-    if kwargs.get("fault_rate") or kwargs.get("deadline_s") is not None:
-        raise ValueError(
-            "cache effectiveness requires a fault-free, deadline-free "
-            "campaign"
-        )
-    uncached = run_loadgen(
-        sessions, requests_per_session, workers=workers, seed=seed, **kwargs
-    )
-    cold = run_loadgen(
-        sessions,
-        requests_per_session,
-        workers=workers,
-        seed=seed,
-        cache_dir=cache_dir,
-        **kwargs,
-    )
-    warm = run_loadgen(
-        sessions,
-        requests_per_session,
-        workers=workers,
-        seed=seed,
-        cache_dir=cache_dir,
-        **kwargs,
-    )
-    result = CacheEffectiveness(uncached=uncached, cold=cold, warm=warm)
-    if not result.identical:
-        raise AssertionError(
-            "cached and uncached runs diverged: "
-            f"uncached {uncached.fingerprint} / cold {cold.fingerprint} / "
-            f"warm {warm.fingerprint}"
-        )
-    if cold.upstream_llm_calls > uncached.upstream_llm_calls:
-        raise AssertionError(
-            f"cold cache increased upstream calls: "
-            f"{cold.upstream_llm_calls} > {uncached.upstream_llm_calls}"
-        )
-    if warm.upstream_llm_calls >= cold.upstream_llm_calls:
-        raise AssertionError(
-            f"warm cache did not reduce upstream calls: "
-            f"{warm.upstream_llm_calls} >= {cold.upstream_llm_calls}"
-        )
-    return result
-
-
-@dataclasses.dataclass
-class TelemetryOverhead:
-    """The telemetry-on vs telemetry-off differential.
-
-    ``repeats`` interleaved pairs of the identical seeded campaign, one
-    with the hub installed and one without; the compared p50 is the
-    **minimum** across repeats per mode (the least-noisy estimate of the
-    achievable latency), and every run must produce the same identity
-    fingerprint — telemetry that changed outcomes would be a bug, not an
-    overhead.
-    """
-
-    p50_off_s: float
-    p50_on_s: float
-    ratio: float
-    bound: float
-    repeats: int
-    fingerprint: str
-
-    @property
-    def ok(self) -> bool:
-        """True when the measured p50 regression is within ``bound``."""
-        return self.ratio <= self.bound
-
-    def to_dict(self) -> Dict[str, Any]:
-        data = dataclasses.asdict(self)
-        data["ok"] = self.ok
-        return data
-
-
-def check_telemetry_overhead(
-    sessions: int,
-    requests_per_session: int,
-    workers: int,
-    seed: int,
-    repeats: int = 3,
-    bound: float = 1.05,
-    **kwargs: Any,
-) -> TelemetryOverhead:
-    """Measure the hub's p50 latency cost; raise if outcomes diverge.
-
-    Requires a fault-free, deadline-free campaign (otherwise outcomes
-    are schedule-dependent and the fingerprint cross-check is vacuous).
-    The returned report says whether the ``bound`` held; the caller
-    (``clarify loadgen --check-telemetry-overhead``) turns that into an
-    exit code.
-    """
-    if kwargs.get("fault_rate") or kwargs.get("deadline_s") is not None:
-        raise ValueError(
-            "telemetry overhead requires a fault-free, deadline-free "
-            "campaign"
-        )
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    p50_off: List[float] = []
-    p50_on: List[float] = []
-    fingerprints = set()
-    for _ in range(repeats):
-        off = run_loadgen(
-            sessions,
-            requests_per_session,
-            workers=workers,
-            seed=seed,
-            telemetry=False,
-            **kwargs,
-        )
-        on = run_loadgen(
-            sessions,
-            requests_per_session,
-            workers=workers,
-            seed=seed,
-            telemetry=True,
-            **kwargs,
-        )
-        p50_off.append(off.latency_quantiles["p50"])
-        p50_on.append(on.latency_quantiles["p50"])
-        fingerprints.update((off.fingerprint, on.fingerprint))
-    if len(fingerprints) != 1:
-        raise AssertionError(
-            f"telemetry changed campaign outcomes: {sorted(fingerprints)}"
-        )
-    best_off = min(p50_off)
-    best_on = min(p50_on)
-    ratio = best_on / best_off if best_off > 0 else 1.0
-    return TelemetryOverhead(
-        p50_off_s=best_off,
-        p50_on_s=best_on,
-        ratio=ratio,
-        bound=bound,
-        repeats=repeats,
-        fingerprint=next(iter(fingerprints)),
-    )
-
-
 __all__ = [
     "CAMPUS_CONFIG",
     "CAMPUS_TARGET",
     "CLOUD_CONFIG",
     "CLOUD_TARGET",
-    "CacheEffectiveness",
     "LLMStack",
     "LoadgenReport",
     "SessionSpec",
-    "TelemetryOverhead",
     "build_llm_stack",
-    "check_cache_effectiveness",
-    "check_serial_identity",
-    "check_telemetry_overhead",
     "generate_workload",
     "run_loadgen",
     "timing_quantiles",

@@ -31,7 +31,7 @@ import dataclasses
 import queue
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro import obs
 from repro.core.budget import TimeBudget
@@ -54,6 +54,32 @@ OUTCOMES = (
 
 #: Seed for the service-time EWMA before any request has completed.
 _EWMA_SEED_S = 0.02
+
+#: The reply fields the identity fingerprint covers (latency, queue wait
+#: and trace ids stay out), each with the type its value is canonicalised
+#: to (None: kept as is), so a shard's JSONL reply keys like a response.
+_OUTCOME_KEY_TYPES: Dict[str, Optional[Callable[..., Any]]] = {
+    "session": None,
+    "seq": None,
+    "outcome": None,
+    "position": None,
+    "llm_calls": int,
+    "questions": int,
+    "attempts": int,
+    "overlaps": list,
+    "gate_warnings": list,
+    "config_sha256": str,
+}
+OUTCOME_KEY_FIELDS = tuple(_OUTCOME_KEY_TYPES)
+
+
+def outcome_key(fields: Mapping[str, Any]) -> Dict[str, Any]:
+    """The identity key of a :class:`ServeResponse`'s or a JSONL reply's fields."""
+    key: Dict[str, Any] = {}
+    for name, kind in _OUTCOME_KEY_TYPES.items():
+        value = fields.get(name)
+        key[name] = value if kind is None else kind(value or kind())
+    return key
 
 
 class AdmissionError(ClarifyError):
@@ -122,18 +148,7 @@ class ServeResponse:
         excluded; what remains must be byte-identical between a serial
         and a pooled run of the same workload.
         """
-        return {
-            "session": self.session,
-            "seq": self.seq,
-            "outcome": self.outcome,
-            "position": self.position,
-            "llm_calls": self.llm_calls,
-            "questions": self.questions,
-            "attempts": self.attempts,
-            "overlaps": list(self.overlaps),
-            "gate_warnings": list(self.gate_warnings),
-            "config_sha256": self.config_sha256,
-        }
+        return outcome_key(vars(self))
 
     def to_dict(self) -> Dict[str, Any]:
         data = self.outcome_key()
@@ -500,7 +515,9 @@ __all__ = [
     "AdmissionError",
     "ClarifyService",
     "OUTCOMES",
+    "OUTCOME_KEY_FIELDS",
     "ServeRequest",
     "ServeResponse",
     "Ticket",
+    "outcome_key",
 ]

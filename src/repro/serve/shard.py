@@ -34,12 +34,9 @@ numbers are answered from the journal
 (:meth:`~repro.serve.session.ManagedSession.replayed_response`), so a
 request is applied exactly once no matter where the crash landed.
 
-The proof obligation is the same differential the serving layer has
-used since the pool was introduced: :func:`check_shard_identity` runs
-the identical seeded campaign serial, pooled, sharded, and
-sharded-with-a-kill, and requires all four outcome fingerprints to be
-byte-identical (``clarify loadgen --check-shard-identity``, enforced by
-the ``shard`` CI job).
+The proof obligation is the serving layer's differential: the
+``sharded`` and ``killed`` legs of :mod:`repro.serve.legs` must match
+the in-process fingerprint (``clarify loadgen --legs sharded,killed``).
 """
 
 from __future__ import annotations
@@ -59,7 +56,7 @@ from typing import Any, Dict, List, Optional
 from repro.core.errors import ClarifyError
 from repro.obs import telemetry
 from repro.serve.loadgen import _fingerprint, generate_workload
-from repro.serve.service import AdmissionError
+from repro.serve.service import AdmissionError, outcome_key
 
 #: Seed for the router's service-time EWMA before any reply has landed.
 _EWMA_SEED_S = 0.02
@@ -544,40 +541,6 @@ class ShardCampaignReport:
     #: Sessions per shard index, from the ring placement.
     placement: Dict[str, int]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-
-_OUTCOME_KEY_FIELDS = (
-    "session",
-    "seq",
-    "outcome",
-    "position",
-    "llm_calls",
-    "questions",
-    "attempts",
-    "overlaps",
-    "gate_warnings",
-    "config_sha256",
-)
-
-
-def _wire_outcome_key(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """A reply payload reduced to the schedule-independent surface.
-
-    Mirrors :meth:`~repro.serve.service.ServeResponse.outcome_key`
-    field for field, so sharded fingerprints compare byte-for-byte
-    against serial/pooled ones.
-    """
-    key = {field: payload.get(field) for field in _OUTCOME_KEY_FIELDS}
-    key["llm_calls"] = int(key["llm_calls"] or 0)
-    key["questions"] = int(key["questions"] or 0)
-    key["attempts"] = int(key["attempts"] or 0)
-    key["overlaps"] = list(key["overlaps"] or [])
-    key["gate_warnings"] = list(key["gate_warnings"] or [])
-    key["config_sha256"] = str(key["config_sha256"] or "")
-    return key
-
 
 def run_sharded_loadgen(
     sessions: int = 16,
@@ -683,7 +646,7 @@ def run_sharded_loadgen(
         wall_s=wall,
         throughput_rps=len(resolved) / wall if wall > 0 else 0.0,
         outcomes=dict(sorted(outcomes.items())),
-        fingerprint=_fingerprint([_wire_outcome_key(p) for p in resolved]),
+        fingerprint=_fingerprint([outcome_key(p) for p in resolved]),
         rejected_submissions=rejected,
         unresolved=len(pendings) - len(resolved),
         kills=cluster.kills,
@@ -698,130 +661,12 @@ def run_sharded_loadgen(
     )
 
 
-@dataclasses.dataclass
-class ShardIdentity:
-    """The four-legged differential: serial, pooled, sharded, chaos."""
-
-    #: The in-process legs (:class:`~repro.serve.loadgen.LoadgenReport`).
-    serial: Any
-    pooled: Any
-    sharded: ShardCampaignReport
-    chaos: ShardCampaignReport
-
-    @property
-    def identical(self) -> bool:
-        return (
-            self.serial.fingerprint
-            == self.pooled.fingerprint
-            == self.sharded.fingerprint
-            == self.chaos.fingerprint
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "identical": self.identical,
-            "serial_fingerprint": self.serial.fingerprint,
-            "pooled_fingerprint": self.pooled.fingerprint,
-            "sharded": self.sharded.to_dict(),
-            "chaos": self.chaos.to_dict(),
-        }
-
-
-def check_shard_identity(
-    sessions: int,
-    requests_per_session: int,
-    workers: int,
-    seed: int,
-    shards: int = 2,
-    store_root: Optional[str] = None,
-    max_attempts: int = 3,
-    backend: str = "simulated",
-    **kwargs: Any,
-) -> ShardIdentity:
-    """Serial vs pooled vs sharded vs killed-and-restarted — all equal.
-
-    Extends :func:`~repro.serve.loadgen.check_serial_identity` across
-    the process boundary: the same seeded campaign must produce
-    byte-identical outcome fingerprints (1) serially in one thread,
-    (2) pooled across ``workers`` threads, (3) sharded across
-    ``shards`` processes, and (4) sharded with one shard SIGKILLed
-    mid-campaign and restored from its journals.  The chaos leg must
-    additionally have restarted at least one shard and restored at
-    least one session — a kill that recovered nothing would be vacuous.
-    """
-    from repro.serve.loadgen import run_loadgen
-
-    serial = run_loadgen(
-        sessions,
-        requests_per_session,
-        workers=1,
-        seed=seed,
-        max_attempts=max_attempts,
-        backend=backend,
-        **kwargs,
-    )
-    pooled = run_loadgen(
-        sessions,
-        requests_per_session,
-        workers=workers,
-        seed=seed,
-        max_attempts=max_attempts,
-        backend=backend,
-        **kwargs,
-    )
-    sharded = run_sharded_loadgen(
-        sessions,
-        requests_per_session,
-        shards=shards,
-        workers_per_shard=workers,
-        seed=seed,
-        store_root=(
-            os.path.join(store_root, "sharded") if store_root else None
-        ),
-        max_attempts=max_attempts,
-        backend=backend,
-    )
-    chaos = run_sharded_loadgen(
-        sessions,
-        requests_per_session,
-        shards=shards,
-        workers_per_shard=workers,
-        seed=seed,
-        store_root=os.path.join(store_root, "chaos") if store_root else None,
-        max_attempts=max_attempts,
-        backend=backend,
-        kill_and_restart=True,
-    )
-    identity = ShardIdentity(
-        serial=serial,
-        pooled=pooled,
-        sharded=sharded,
-        chaos=chaos,
-    )
-    if not identity.identical:
-        raise AssertionError(
-            "sharded runs diverged from the serial baseline: "
-            f"serial {serial.fingerprint} / pooled {pooled.fingerprint} / "
-            f"sharded {sharded.fingerprint} / chaos {chaos.fingerprint} "
-            f"(chaos outcomes {chaos.outcomes})"
-        )
-    if chaos.restarts < 1 or chaos.restored_sessions < 1:
-        raise AssertionError(
-            "the chaos leg did not exercise recovery: "
-            f"restarts={chaos.restarts} "
-            f"restored_sessions={chaos.restored_sessions}"
-        )
-    return identity
-
-
 __all__ = [
     "ClusterError",
     "HashRing",
     "PendingCall",
     "ShardCampaignReport",
-    "ShardIdentity",
     "ShardProcess",
     "ShardedCluster",
-    "check_shard_identity",
     "run_sharded_loadgen",
 ]

@@ -7,11 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.llm import BackendRouter, SimulatedLLM
-from repro.serve import (
-    build_llm_stack,
-    check_cache_effectiveness,
-    run_loadgen,
-)
+from repro.serve import build_llm_stack, run_legs, run_loadgen
 
 
 class TestBuildLlmStack:
@@ -93,26 +89,33 @@ class TestCachedCampaigns:
         assert not list(cache_dir.glob("*.json"))
 
     def test_check_cache_effectiveness_passes(self, tmp_path):
-        result = check_cache_effectiveness(
-            4, 2, workers=2, seed=2025, cache_dir=str(tmp_path / "cache")
+        legs = run_legs(
+            ["cache-cold", "cache-warm"],
+            root=str(tmp_path),
+            sessions=4, requests_per_session=2, workers=2, seed=2025,
         )
-        assert result.identical
-        assert result.warm.upstream_llm_calls < result.cold.upstream_llm_calls
-        assert result.warm.upstream_llm_calls == 0
-        payload = result.to_dict()
-        assert payload["identical_outcomes"] is True
-        assert payload["warm_upstream_calls"] == 0
+        assert not legs.failures, legs.failures
+        uncached = legs.reference
+        cold = legs.results["cache-cold"].report
+        warm = legs.results["cache-warm"].report
+        assert uncached.fingerprint == cold.fingerprint == warm.fingerprint
+        assert cold.upstream_llm_calls <= uncached.upstream_llm_calls
+        assert warm.upstream_llm_calls < cold.upstream_llm_calls
+        assert warm.upstream_llm_calls == 0
+        assert (tmp_path / "cache").is_dir()  # the legs' shared cache
+        payload = legs.to_dict()
+        assert payload["ok"] is True
+        assert payload["legs"]["cache-warm"]["upstream_llm_calls"] == 0
 
     def test_check_refuses_chaos_and_deadlines(self, tmp_path):
+        cache_legs = ["cache-cold", "cache-warm"]
         with pytest.raises(ValueError, match="fault-free"):
-            check_cache_effectiveness(
-                2, 1, workers=1, seed=1,
-                cache_dir=str(tmp_path), fault_rate=0.2,
+            run_legs(
+                cache_legs, sessions=2, requests_per_session=1, fault_rate=0.2
             )
         with pytest.raises(ValueError, match="deadline-free"):
-            check_cache_effectiveness(
-                2, 1, workers=1, seed=1,
-                cache_dir=str(tmp_path), deadline_s=5.0,
+            run_legs(
+                cache_legs, sessions=2, requests_per_session=1, deadline_s=5.0
             )
 
 
@@ -125,24 +128,28 @@ class TestCli:
                 "--sessions", "4",
                 "--workers", "2",
                 "--seed", "2025",
-                "--cache-dir", str(tmp_path / "cache"),
-                "--check-cache-effectiveness",
+                "--legs", "cache-cold,cache-warm",
                 "--output", str(out),
             ]
         )
         assert code == 0
-        assert "cache effectiveness OK" in capsys.readouterr().out
+        captured = capsys.readouterr().out
+        assert "cache-cold    OK" in captured
+        assert "cache-warm    OK" in captured
         payload = json.loads(out.read_text())
-        section = payload["cache_effectiveness"]
-        assert section["identical_outcomes"] is True
-        assert section["warm_upstream_calls"] < section["cold_upstream_calls"]
+        section = payload["legs"]["legs"]
+        assert payload["legs"]["ok"] is True
+        assert (
+            section["cache-warm"]["upstream_llm_calls"]
+            < section["cache-cold"]["upstream_llm_calls"]
+        )
 
     def test_effectiveness_with_faults_is_refused(self, capsys):
         code = main(
             [
                 "loadgen",
                 "--sessions", "2",
-                "--check-cache-effectiveness",
+                "--legs", "cache-cold,cache-warm",
                 "--fault-rate", "0.2",
             ]
         )
@@ -157,19 +164,19 @@ class TestCli:
                 "--sessions", "4",
                 "--workers", "2",
                 "--seed", "2025",
-                "--cache-dir", str(tmp_path / "cache"),
-                "--check-serial-identity",
-                "--check-cache-effectiveness",
+                "--legs", "serial,cache-cold,cache-warm",
                 "--output", str(out),
             ]
         )
         assert code == 0
         captured = capsys.readouterr().out
-        assert "serial identity OK" in captured
-        assert "cache effectiveness OK" in captured
+        for leg in ("serial", "cache-cold", "cache-warm"):
+            assert f"{leg:<13} OK" in captured
         payload = json.loads(out.read_text())
-        assert payload["identity"] is True
-        assert "cache_effectiveness" in payload
+        assert payload["legs"]["ok"] is True
+        assert set(payload["legs"]["legs"]) == {
+            "pooled", "serial", "cache-cold", "cache-warm",
+        }
 
     def test_serve_cache_dir_flag(self, monkeypatch, capsys, tmp_path):
         lines = [

@@ -8,7 +8,7 @@ changes latency, never results.
 import pytest
 
 from repro.llm.intents import parse_acl_intent, parse_route_map_intent
-from repro.serve import check_serial_identity, generate_workload, run_loadgen
+from repro.serve import generate_workload, run_legs, run_loadgen
 
 
 class TestWorkloadGeneration:
@@ -45,15 +45,24 @@ class TestWorkloadGeneration:
 
 class TestSerialPooledIdentity:
     def test_identity_holds(self):
-        serial, pooled = check_serial_identity(8, 2, workers=4, seed=2025)
+        legs = run_legs(
+            ["serial"], sessions=8, requests_per_session=2, workers=4, seed=2025
+        )
+        assert not legs.failures, legs.failures
+        serial, pooled = legs.results["serial"].report, legs.reference
         assert serial.fingerprint == pooled.fingerprint
         assert serial.outcomes == pooled.outcomes
         assert serial.workers == 1
         assert pooled.workers == 4
 
     def test_identity_holds_for_another_seed(self):
-        serial, pooled = check_serial_identity(6, 2, workers=3, seed=99)
-        assert serial.fingerprint == pooled.fingerprint
+        legs = run_legs(
+            ["serial"], sessions=6, requests_per_session=2, workers=3, seed=99
+        )
+        assert not legs.failures, legs.failures
+        assert legs.results["serial"].report.fingerprint == (
+            legs.reference.fingerprint
+        )
 
     def test_fingerprint_reproducible_across_runs(self):
         first = run_loadgen(sessions=6, requests_per_session=2, workers=2, seed=5)

@@ -101,24 +101,26 @@ class TestLoadgenCli:
                 "--sessions", "6",
                 "--workers", "3",
                 "--seed", "2025",
-                "--check-serial-identity",
+                "--legs", "serial",
                 "--output", str(out),
             ]
         )
         assert code == 0
         captured = capsys.readouterr()
-        assert "serial identity OK" in captured.out
+        assert "serial        OK" in captured.out
         payload = json.loads(out.read_text())
-        assert payload["identity"] is True
+        assert payload["legs"]["ok"] is True
         assert payload["loadgen"]["outcomes"]["applied"] == 12
-        assert payload["serial"]["fingerprint"] == payload["loadgen"]["fingerprint"]
+        serial = payload["legs"]["legs"]["serial"]
+        assert serial["workers"] == 1
+        assert serial["fingerprint"] == payload["loadgen"]["fingerprint"]
 
     def test_identity_with_faults_is_refused(self, capsys):
         code = main(
             [
                 "loadgen",
                 "--sessions", "2",
-                "--check-serial-identity",
+                "--legs", "serial",
                 "--fault-rate", "0.2",
             ]
         )

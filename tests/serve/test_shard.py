@@ -8,12 +8,8 @@ import sys
 import pytest
 
 from repro.serve.loadgen import generate_workload, run_loadgen
-from repro.serve.shard import (
-    HashRing,
-    ShardedCluster,
-    _wire_outcome_key,
-    run_sharded_loadgen,
-)
+from repro.serve.service import outcome_key
+from repro.serve.shard import HashRing, ShardedCluster, run_sharded_loadgen
 
 
 class TestHashRing:
@@ -109,9 +105,7 @@ class TestCrashRecoveryProtocol:
             ).wait(60.0)
             assert resent is not None
             assert resent.get("recovered") is True
-            assert _wire_outcome_key(resent) == _wire_outcome_key(
-                originals[victim_sid]
-            )
+            assert outcome_key(resent) == outcome_key(originals[victim_sid])
 
     def test_idempotent_open_after_restore(self, tmp_path):
         workload = generate_workload(2, 1, 2025)

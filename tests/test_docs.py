@@ -282,8 +282,11 @@ def test_serving_doc_covers_sharding_and_durability():
         "--store-dir",
         "--restore",
         "--shards",
-        "--check-shard-identity",
-        "BENCH_shard.json",
+        "--legs",
+        "sharded",
+        "killed",
+        "OUTCOME_KEY_FIELDS",
+        "BENCH_serve.json",
         "exactly-once",
     ):
         assert needle in text, f"SERVING.md does not mention {needle}"
@@ -307,7 +310,8 @@ def test_observability_doc_covers_serving_telemetry():
         "--metrics-port",
         "--event-log",
         "--slo-report",
-        "--check-telemetry-overhead",
+        "--legs",
+        "telemetry-off",
         "--no-telemetry",
         "CLARIFY_METRICS_PORT",
         "CLARIFY_EVENT_LOG",
@@ -327,7 +331,8 @@ def test_serving_doc_links_serving_telemetry():
         "trace_id",
         "clarify tail",
         "--slo-report",
-        "--check-telemetry-overhead",
+        "--legs",
+        "telemetry-off",
     ):
         assert needle in text, f"SERVING.md does not mention {needle}"
 
@@ -380,6 +385,8 @@ def test_llm_backends_doc_covers_the_tier():
         "--backend",
         "--cache-dir",
         "--batch-window",
-        "--check-cache-effectiveness",
+        "--legs",
+        "cache-cold",
+        "cache-warm",
     ):
         assert needle in text, f"LLM_BACKENDS.md does not mention {needle}"
