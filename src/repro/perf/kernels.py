@@ -23,86 +23,18 @@ dwarfs the comparisons themselves.  This module batches them:
 Every kernel is **exactly** equivalent to the corresponding
 ``IntervalSet`` operation — the differential suite in
 ``tests/perf/test_kernels.py`` pins that over randomized-but-seeded
-populations, with and without the numpy fast path.
-
-Backends: when numpy is importable the matrix kernels vectorize the
-bounding-box passes; otherwise a pure-stdlib fallback runs the same
-logic with early-exit loops.  ``REPRO_KERNELS=numpy|py`` forces one
-backend (``numpy`` raises :class:`KernelBackendError` when numpy is
-missing), and :func:`use_backend` scopes a forced backend for tests.
+populations.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 from array import array
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.netaddr.intervals import EMPTY_SET, Interval, IntervalSet
 
-try:  # pragma: no cover - exercised via both-backend test parametrization
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - numpy-less environments (CI)
-    _numpy = None  # type: ignore[assignment]
-
-_np: Any = _numpy
-
 #: A boolean matrix as rows of 0/1 bytes: ``matrix[i][j]``.
 Matrix = List[bytearray]
-
-
-class KernelBackendError(RuntimeError):
-    """Raised when ``REPRO_KERNELS`` requests an unavailable backend."""
-
-
-_FORCED: Optional[str] = None
-
-_VALID_BACKENDS = ("numpy", "py")
-
-
-def available_backends() -> Tuple[str, ...]:
-    """The backends this process can run (``py`` is always available)."""
-    return _VALID_BACKENDS if _np is not None else ("py",)
-
-
-def active_backend() -> str:
-    """The backend the kernels dispatch to right now.
-
-    Resolution order: :func:`use_backend` override, then the
-    ``REPRO_KERNELS`` environment variable (``numpy`` or ``py``), then
-    numpy-if-importable.
-    """
-    if _FORCED is not None:
-        return _FORCED
-    env = os.environ.get("REPRO_KERNELS", "").strip()
-    if env:
-        if env not in _VALID_BACKENDS:
-            raise KernelBackendError(
-                f"unknown REPRO_KERNELS value {env!r}; use 'numpy' or 'py'"
-            )
-        if env == "numpy" and _np is None:
-            raise KernelBackendError(
-                "REPRO_KERNELS=numpy but numpy is not importable"
-            )
-        return env
-    return "numpy" if _np is not None else "py"
-
-
-@contextlib.contextmanager
-def use_backend(name: str) -> Iterator[None]:
-    """Force a backend for the extent of the block (test hook)."""
-    global _FORCED
-    if name not in _VALID_BACKENDS:
-        raise KernelBackendError(f"unknown backend {name!r}")
-    if name == "numpy" and _np is None:
-        raise KernelBackendError("numpy backend requested but not importable")
-    previous = _FORCED
-    _FORCED = name
-    try:
-        yield
-    finally:
-        _FORCED = previous
 
 
 # ---------------------------------------------------------------- encoding
@@ -119,7 +51,7 @@ class FlatSets:
     ``'q'`` otherwise.
     """
 
-    __slots__ = ("offsets", "los", "his", "box_lo", "box_hi", "_arrays")
+    __slots__ = ("offsets", "los", "his", "box_lo", "box_hi")
 
     def __init__(
         self,
@@ -134,7 +66,6 @@ class FlatSets:
         self.his = his
         self.box_lo = box_lo
         self.box_hi = box_hi
-        self._arrays: Optional[Tuple[Any, Any, Any, Any]] = None
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -142,10 +73,6 @@ class FlatSets:
     def size(self, index: int) -> int:
         """Number of intervals in set ``index``."""
         return self.offsets[index + 1] - self.offsets[index]
-
-    def to_bytes(self) -> bytes:
-        """The endpoint arrays as one bytes blob (diagnostics, hashing)."""
-        return self.offsets.tobytes() + self.los.tobytes() + self.his.tobytes()
 
     def decode(self, index: int) -> IntervalSet:
         """Set ``index`` back as a canonical :class:`IntervalSet`."""
@@ -155,18 +82,6 @@ class FlatSets:
                 Interval(self.los[k], self.his[k]) for k in range(lo, hi)
             )
         )
-
-    def numpy_arrays(self) -> Tuple[Any, Any, Any, Any]:
-        """``(box_lo, box_hi, sizes, offsets)`` as cached numpy arrays."""
-        if self._arrays is None:
-            box_lo = _np.frombuffer(self.box_lo, dtype=_np.int64)
-            box_hi = _np.frombuffer(self.box_hi, dtype=_np.int64)
-            offsets = _np.frombuffer(self.offsets, dtype=_np.uint32).astype(
-                _np.int64
-            )
-            sizes = offsets[1:] - offsets[:-1]
-            self._arrays = (box_lo, box_hi, sizes, offsets)
-        return self._arrays
 
 
 def encode(sets: Sequence[IntervalSet]) -> FlatSets:
@@ -284,6 +199,13 @@ def _pair_subtract(
 # ------------------------------------------------------------ the kernels
 
 
+def _columns(b: FlatSets) -> Tuple[List[int], List[int], List[int]]:
+    """``b``'s per-set sizes and bounding boxes, read once per matrix call."""
+    off = b.offsets
+    sizes = [off[j + 1] - off[j] for j in range(len(b))]
+    return sizes, b.box_lo.tolist(), b.box_hi.tolist()
+
+
 def disjoint_matrix(a: FlatSets, b: FlatSets) -> Matrix:
     """Exact pairwise emptiness: ``out[i][j] == a[i].intersect(b[j]).is_empty()``.
 
@@ -292,50 +214,26 @@ def disjoint_matrix(a: FlatSets, b: FlatSets) -> Matrix:
     intersect iff their boxes do); only multi-interval pairs with
     overlapping boxes run the per-pair merge sweep.
     """
-    if active_backend() == "numpy":
-        return _disjoint_matrix_np(a, b)
-    return _disjoint_matrix_py(a, b)
-
-
-def _disjoint_matrix_py(a: FlatSets, b: FlatSets) -> Matrix:
-    n_b = len(b)
+    b_sizes, b_lo, b_hi = _columns(b)
+    n_b = len(b_sizes)
     out: Matrix = []
     for i in range(len(a)):
-        row = bytearray(n_b)
         a_size = a.size(i)
         if a_size == 0:
-            for j in range(n_b):
-                row[j] = 1
-            out.append(row)
+            out.append(bytearray(b"\x01" * n_b))
             continue
+        row = bytearray(n_b)
         a_lo, a_hi = a.box_lo[i], a.box_hi[i]
         for j in range(n_b):
-            b_size = b.size(j)
-            if b_size == 0 or a_hi < b.box_lo[j] or b.box_hi[j] < a_lo:
+            b_size = b_sizes[j]
+            if b_size == 0 or a_hi < b_lo[j] or b_hi[j] < a_lo:
                 row[j] = 1
             elif a_size == 1 and b_size == 1:
-                row[j] = 0
-            else:
-                row[j] = 1 if _pair_disjoint(a, i, b, j) else 0
+                pass  # rows start at 0: not disjoint
+            elif _pair_disjoint(a, i, b, j):
+                row[j] = 1
         out.append(row)
     return out
-
-
-def _disjoint_matrix_np(a: FlatSets, b: FlatSets) -> Matrix:
-    a_lo, a_hi, a_sizes, _ = a.numpy_arrays()
-    b_lo, b_hi, b_sizes, _ = b.numpy_arrays()
-    box_disjoint = (a_hi[:, None] < b_lo[None, :]) | (
-        b_hi[None, :] < a_lo[:, None]
-    )
-    empty = (a_sizes[:, None] == 0) | (b_sizes[None, :] == 0)
-    disjoint = box_disjoint | empty
-    both_single = (a_sizes[:, None] == 1) & (b_sizes[None, :] == 1)
-    undecided = ~disjoint & ~both_single
-    result = disjoint.astype(_np.uint8)
-    for i, j in _np.argwhere(undecided):
-        if _pair_disjoint(a, int(i), b, int(j)):
-            result[i, j] = 1
-    return [bytearray(result[i].tobytes()) for i in range(len(a))]
 
 
 def subset_matrix(a: FlatSets, b: FlatSets) -> Matrix:
@@ -346,52 +244,23 @@ def subset_matrix(a: FlatSets, b: FlatSets) -> Matrix:
     *single-interval* target is definitely contained; the rest run the
     per-pair merge sweep.
     """
-    if active_backend() == "numpy":
-        return _subset_matrix_np(a, b)
-    return _subset_matrix_py(a, b)
-
-
-def _subset_matrix_py(a: FlatSets, b: FlatSets) -> Matrix:
-    n_b = len(b)
+    b_sizes, b_lo, b_hi = _columns(b)
+    n_b = len(b_sizes)
     out: Matrix = []
     for i in range(len(a)):
-        row = bytearray(n_b)
-        a_size = a.size(i)
-        if a_size == 0:
-            for j in range(n_b):
-                row[j] = 1
-            out.append(row)
+        if a.size(i) == 0:
+            out.append(bytearray(b"\x01" * n_b))
             continue
+        row = bytearray(n_b)
         a_lo, a_hi = a.box_lo[i], a.box_hi[i]
         for j in range(n_b):
-            b_size = b.size(j)
-            if b_size == 0 or a_lo < b.box_lo[j] or a_hi > b.box_hi[j]:
-                row[j] = 0
-            elif b_size == 1:
+            b_size = b_sizes[j]
+            if b_size == 0 or a_lo < b_lo[j] or a_hi > b_hi[j]:
+                pass  # rows start at 0: not contained
+            elif b_size == 1 or _pair_subset(a, i, b, j):
                 row[j] = 1
-            else:
-                row[j] = 1 if _pair_subset(a, i, b, j) else 0
         out.append(row)
     return out
-
-
-def _subset_matrix_np(a: FlatSets, b: FlatSets) -> Matrix:
-    a_lo, a_hi, a_sizes, _ = a.numpy_arrays()
-    b_lo, b_hi, b_sizes, _ = b.numpy_arrays()
-    a_empty = a_sizes[:, None] == 0
-    box_inside = (
-        (a_lo[:, None] >= b_lo[None, :])
-        & (a_hi[:, None] <= b_hi[None, :])
-        & ~a_empty
-        & (b_sizes[None, :] > 0)
-    )
-    decided_yes = a_empty | (box_inside & (b_sizes[None, :] == 1))
-    undecided = box_inside & (b_sizes[None, :] > 1)
-    result = decided_yes.astype(_np.uint8)
-    for i, j in _np.argwhere(undecided):
-        if _pair_subset(a, int(i), b, int(j)):
-            result[i, j] = 1
-    return [bytearray(result[i].tobytes()) for i in range(len(a))]
 
 
 def contains_vector(sets: FlatSets, value: int) -> List[bool]:
@@ -449,16 +318,6 @@ def subtract_many(a: FlatSets, b: FlatSets) -> List[IntervalSet]:
 
 def _box_disjoint_vector(a: FlatSets, b: FlatSets) -> List[bool]:
     """Element-wise sound disjointness from the bounding boxes alone."""
-    if active_backend() == "numpy" and len(a) >= 64:
-        a_lo, a_hi, a_sizes, _ = a.numpy_arrays()
-        b_lo, b_hi, b_sizes, _ = b.numpy_arrays()
-        flags = (
-            (a_hi < b_lo)
-            | (b_hi < a_lo)
-            | (a_sizes == 0)
-            | (b_sizes == 0)
-        )
-        return [bool(flag) for flag in flags]
     return [
         a.size(i) == 0
         or b.size(i) == 0
@@ -470,15 +329,11 @@ def _box_disjoint_vector(a: FlatSets, b: FlatSets) -> List[bool]:
 
 __all__ = [
     "FlatSets",
-    "KernelBackendError",
     "Matrix",
-    "active_backend",
-    "available_backends",
     "contains_vector",
     "disjoint_matrix",
     "encode",
     "intersect_many",
     "subset_matrix",
     "subtract_many",
-    "use_backend",
 ]

@@ -101,6 +101,10 @@ class LegResult:
         if self.paired:
             data["p50_s"] = [r.latency_quantiles["p50"] for r in self.runs]
             data["paired_p50_s"] = [r.latency_quantiles["p50"] for r in self.paired]
+            data["service_p50_s"] = [r.service_quantiles["p50"] for r in self.runs]
+            data["paired_service_p50_s"] = [
+                r.service_quantiles["p50"] for r in self.paired
+            ]
         return data
 
 

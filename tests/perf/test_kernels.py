@@ -4,19 +4,18 @@ Every kernel in :mod:`repro.perf.kernels` claims *exact* equivalence
 with the corresponding :class:`~repro.netaddr.intervals.IntervalSet`
 operation.  This suite pins that claim over randomized-but-seeded
 populations laced with the adversarial edges (empty sets, adjacent
-intervals, single points, full-range sets), on every backend the
-process can run — the pure-stdlib sweep always, the numpy fast path
-when numpy is importable.
+intervals, single points, full-range sets).
 """
 
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 from repro.netaddr.intervals import EMPTY_SET, IntervalSet
 from repro.perf import kernels
-
-BACKENDS = kernels.available_backends()
 
 #: Universe the random populations draw from; small enough that random
 #: sets collide, overlap, and contain each other often.
@@ -49,14 +48,8 @@ def random_sets(seed, count=40):
     return out
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    with kernels.use_backend(request.param):
-        yield request.param
-
-
 class TestEncoding:
-    def test_decode_roundtrips(self, backend):
+    def test_decode_roundtrips(self):
         sets = random_sets(1)
         flat = kernels.encode(sets)
         assert len(flat) == len(sets)
@@ -77,7 +70,7 @@ class TestEncoding:
 
 
 class TestMatrices:
-    def test_disjoint_matrix_matches_intersect(self, backend):
+    def test_disjoint_matrix_matches_intersect(self):
         a = random_sets(2)
         b = random_sets(3)
         flat_a, flat_b = kernels.encode(a), kernels.encode(b)
@@ -87,7 +80,7 @@ class TestMatrices:
                 expected = va.intersect(vb).is_empty()
                 assert bool(matrix[i][j]) == expected, (i, j)
 
-    def test_subset_matrix_matches_is_subset_of(self, backend):
+    def test_subset_matrix_matches_is_subset_of(self):
         a = random_sets(4)
         b = random_sets(5)
         flat_a, flat_b = kernels.encode(a), kernels.encode(b)
@@ -96,7 +89,7 @@ class TestMatrices:
             for j, vb in enumerate(b):
                 assert bool(matrix[i][j]) == va.is_subset_of(vb), (i, j)
 
-    def test_self_products(self, backend):
+    def test_self_products(self):
         # The overlap hot path runs a set against itself.
         sets = random_sets(6)
         flat = kernels.encode(sets)
@@ -108,21 +101,21 @@ class TestMatrices:
 
 
 class TestElementwise:
-    def test_intersect_many_matches(self, backend):
+    def test_intersect_many_matches(self):
         a = random_sets(7)
         b = list(reversed(random_sets(8, count=len(a) - len(EDGE_SETS))))
         flat_a, flat_b = kernels.encode(a), kernels.encode(b)
         result = kernels.intersect_many(flat_a, flat_b)
         assert result == [va.intersect(vb) for va, vb in zip(a, b)]
 
-    def test_subtract_many_matches(self, backend):
+    def test_subtract_many_matches(self):
         a = random_sets(9)
         b = list(reversed(random_sets(10, count=len(a) - len(EDGE_SETS))))
         flat_a, flat_b = kernels.encode(a), kernels.encode(b)
         result = kernels.subtract_many(flat_a, flat_b)
         assert result == [va.subtract(vb) for va, vb in zip(a, b)]
 
-    def test_length_mismatch_rejected(self, backend):
+    def test_length_mismatch_rejected(self):
         two = kernels.encode([EMPTY_SET, EMPTY_SET])
         one = kernels.encode([EMPTY_SET])
         with pytest.raises(ValueError, match="length mismatch"):
@@ -130,7 +123,7 @@ class TestElementwise:
         with pytest.raises(ValueError, match="length mismatch"):
             kernels.subtract_many(two, one)
 
-    def test_contains_vector_matches(self, backend):
+    def test_contains_vector_matches(self):
         sets = random_sets(11)
         flat = kernels.encode(sets)
         for value in (0, 5, 10, 100, UNIVERSE_HI):
@@ -138,46 +131,46 @@ class TestElementwise:
             assert got == [s.contains(value) for s in sets], value
 
 
-class TestBackendSelection:
-    def test_py_backend_always_available(self):
-        assert "py" in kernels.available_backends()
+class TestImportFootprint:
+    def test_numpy_stays_out_of_the_process(self):
+        # The kernels are pure Python: nothing on the CLI or overlap
+        # path may pull numpy in (it costs ~12 MB of RSS per process).
+        script = textwrap.dedent(
+            """
+            import sys
 
-    def test_use_backend_forces_and_restores(self):
-        before = kernels.active_backend()
-        with kernels.use_backend("py"):
-            assert kernels.active_backend() == "py"
-        assert kernels.active_backend() == before
+            import repro
+            import repro.cli
+            from repro.analysis.headerspace import (
+                PacketRegion,
+                regions_disjoint,
+                regions_disjoint_matrix,
+                regions_subsume_matrix,
+            )
+            from repro.netaddr.intervals import IntervalSet
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(kernels.KernelBackendError, match="unknown"):
-            with kernels.use_backend("fortran"):
-                pass  # pragma: no cover
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "py")
-        assert kernels.active_backend() == "py"
-        monkeypatch.setenv("REPRO_KERNELS", "fortran")
-        with pytest.raises(kernels.KernelBackendError, match="REPRO_KERNELS"):
-            kernels.active_backend()
-
-    def test_env_numpy_without_numpy_raises(self, monkeypatch):
-        if kernels._np is not None:
-            pytest.skip("numpy importable: the error path cannot trigger")
-        monkeypatch.setenv("REPRO_KERNELS", "numpy")
-        with pytest.raises(kernels.KernelBackendError, match="numpy"):
-            kernels.active_backend()
-
-    @pytest.mark.skipif(
-        "numpy" not in BACKENDS, reason="numpy not importable"
-    )
-    def test_backends_agree_on_matrices(self):
-        sets = random_sets(12)
-        flat = kernels.encode(sets)
-        with kernels.use_backend("py"):
-            py_disjoint = kernels.disjoint_matrix(flat, flat)
-            py_subset = kernels.subset_matrix(flat, flat)
-        with kernels.use_backend("numpy"):
-            np_disjoint = kernels.disjoint_matrix(flat, flat)
-            np_subset = kernels.subset_matrix(flat, flat)
-        assert py_disjoint == np_disjoint
-        assert py_subset == np_subset
+            regions = [
+                PacketRegion(
+                    dst=IntervalSet.closed(k * 16, k * 16 + 31),
+                    dst_ports=IntervalSet.from_pairs([(k, k), (k + 2, 80)]),
+                )
+                for k in range(16)
+            ]
+            disjoint = regions_disjoint_matrix(regions, regions)
+            subsume = regions_subsume_matrix(regions, regions)
+            assert sum(len(row) for row in disjoint) >= 128
+            for i, a in enumerate(regions):
+                for j, b in enumerate(regions):
+                    assert bool(disjoint[i][j]) == regions_disjoint(a, b)
+                    assert bool(subsume[i][j]) == b.subsumes(a)
+            print("numpy" in sys.modules)
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -95,6 +95,8 @@ class TestLegsHold:
         assert block["p50_ratio"] == pytest.approx(
             min(block["paired_p50_s"]) / min(block["p50_s"])
         )
+        assert len(block["service_p50_s"]) == len(result.runs)
+        assert len(block["paired_service_p50_s"]) == len(result.paired)
 
     def test_the_reference_alone_runs_any_campaign(self):
         report = run_legs([], workers=2, fault_rate=0.3, **TINY)

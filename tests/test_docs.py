@@ -345,7 +345,6 @@ def test_performance_doc_covers_perf_layer():
         "copy-on-write",
         "calibration",
         "REPRO_POOL",
-        "REPRO_KERNELS",
         "--pool",
         "persistent",
         "spawn",

@@ -4,11 +4,10 @@
 Times the :mod:`repro.perf.kernels` matrix and element-wise kernels
 over a seeded random interval-set population, against the equivalent
 per-pair ``IntervalSet`` loops run under ``perf.disabled()`` (so the
-baseline pays the real per-call algebra, not a memo lookup).  Every
-backend the process can run is measured (``py`` always, ``numpy`` when
-importable), and the equivalence of outputs is asserted as the
-benchmark runs — a kernel that drifted from the algebra fails here
-before it misleads anyone with a fast wrong answer.
+baseline pays the real per-call algebra, not a memo lookup).  The
+equivalence of outputs is asserted as the benchmark runs — a kernel
+that drifted from the algebra fails here before it misleads anyone
+with a fast wrong answer.
 
 The resulting ``kernels`` block is merged into
 ``benchmarks/BENCH_perf.json`` (atomic replace, other keys preserved).
@@ -133,12 +132,12 @@ def time_baselines(sets: Sequence[IntervalSet], repeat: int) -> Dict[str, float]
         }
 
 
-def time_backend(
+def time_kernels(
     sets: Sequence[IntervalSet],
     repeat: int,
     expected: Dict[str, Any],
 ) -> Dict[str, float]:
-    """Kernel timings on the active backend; asserts exact equivalence."""
+    """Kernel timings; asserts exact equivalence with ``expected``."""
     half = len(sets) // 2
     flat = kernels.encode(sets)
     front = kernels.encode(sets[:half])
@@ -175,26 +174,22 @@ def time_backend(
 
 
 def profile(seed: int, count: int, repeat: int) -> Dict[str, Any]:
-    """The full ``kernels`` block: population, baselines, per-backend."""
+    """The full ``kernels`` block: population, baselines, kernels."""
     sets = build_population(seed, count)
     with perf.disabled():
         expected = baseline_results(sets)
     baselines = time_baselines(sets, repeat)
-    backends: Dict[str, Any] = {}
-    for name in kernels.available_backends():
-        with kernels.use_backend(name):
-            timings = time_backend(sets, repeat, expected)
-        # The matrix question the hot paths actually ask, including the
-        # one-off encode, against the same question asked per pair.
-        batched = timings["encode_s"] + timings["disjoint_matrix_s"]
-        timings["disjoint_speedup"] = round(
-            baselines["disjoint_matrix_s"] / max(batched, 1e-9), 2
-        )
-        backends[name] = timings
+    timings = time_kernels(sets, repeat, expected)
+    # The matrix question the hot paths actually ask, including the
+    # one-off encode, against the same question asked per pair.
+    batched = timings["encode_s"] + timings["disjoint_matrix_s"]
+    timings["disjoint_speedup"] = round(
+        baselines["disjoint_matrix_s"] / max(batched, 1e-9), 2
+    )
     return {
         "population": {"seed": seed, "sets": count, "repeat": repeat},
         "baseline": baselines,
-        "backends": backends,
+        "batched": timings,
     }
 
 
